@@ -1,13 +1,13 @@
 // Raw-speed experiment for the production thread backend: the fused
 // chunk-contiguous sweeps + software prefetch + SIMD label crunching +
-// adaptive parallel threshold (pram/sweep.h and friends) against the
+// the default parallel threshold (pram/sweep.h and friends) against the
 // legacy per-element dispatch, on the hot parallel workloads — Match1–4
 // and both list rankings.
 //
 // "Legacy" here is the same binary with the fast paths switched off
 // (pram::tuning().fused = false) and the threshold pinned at the
-// historical constant kDefaultParallelThreshold: that combination executes
-// the identical per-element step bodies the backend ran before the fused
+// historical crossover kLegacyThreshold: that combination executes the
+// identical per-element step bodies the backend ran before the fused
 // sweeps existed, so the ratio is a faithful before/after. Both modes MUST
 // produce bit-identical results and cost surfaces (asserted here with
 // LLMP_CHECK and enforced independently by tests/fused_backend_test.cpp);
@@ -38,6 +38,10 @@
 namespace {
 
 using namespace llmp;
+
+/// The inline/pooled crossover ParallelExec used before the fused sweeps;
+/// the legacy mode pins it to emulate that backend.
+constexpr std::size_t kLegacyThreshold = 2048;
 
 struct AlgoRun {
   pram::Stats cost;
@@ -143,17 +147,15 @@ int run(int argc, char** argv) {
   const auto list = list::generators::random_list(n, 42);
 
   pram::ThreadPool pool(workers);
-  pram::ParallelExec calibrated(p, pool);
 
   std::cout << "bench_thread_backend: fused sweeps vs legacy dispatch, n="
             << n << ", workers=" << workers << "\n\n";
   {
-    fmt::Table t({"backend config", "workers", "calibrated_threshold",
-                  "threshold_measured", "simd_level", "prefetch_distance"});
-    const std::size_t thr = calibrated.parallel_threshold();
+    fmt::Table t({"backend config", "workers", "parallel_threshold",
+                  "simd_level", "prefetch_distance"});
+    const std::size_t thr = pram::ParallelExec(p, pool).parallel_threshold();
     t.add_row({"thread", fmt::num(workers),
                thr == pram::kNeverParallel ? "never" : fmt::num(thr),
-               fmt::num(calibrated.calibration().measured ? 1 : 0),
                pram::simd::level_name(pram::simd::active_level()),
                fmt::num(static_cast<std::uint64_t>(
                    pram::tuning().prefetch.distance))});
@@ -171,8 +173,7 @@ int run(int argc, char** argv) {
     Row row;
     {
       pram::tuning().fused = false;
-      pram::ParallelExec exec(
-          p, pool, pram::ParallelExec::kDefaultParallelThreshold);
+      pram::ParallelExec exec(p, pool, kLegacyThreshold);
       pram::Context ctx(exec);
       row.legacy = timed(w, ctx, list, reps);
     }

@@ -39,12 +39,14 @@
 #include <utility>
 #include <vector>
 
-#include "pram/calibrate.h"
 #include "pram/stats.h"
 #include "pram/thread_pool.h"
 #include "support/check.h"
 
 namespace llmp::pram {
+
+/// ParallelExec threshold value meaning "never dispatch to the pool".
+inline constexpr std::size_t kNeverParallel = static_cast<std::size_t>(-1);
 
 /// Untracked pass-through memory accessor used by the fast executors.
 struct DirectMem {
@@ -123,27 +125,25 @@ class SeqExec {
 /// model is independent of the pool size.
 class ParallelExec {
  public:
-  /// Historical default crossover, kept as the documented fallback and for
-  /// tests that pin the inline/pooled seam at an exact boundary. The
-  /// default constructor no longer uses it: the threshold is *measured*
-  /// (pram/calibrate.h) — per host, per pool size — and LLMP_PARALLEL_
-  /// THRESHOLD or the explicit constructor below can override it.
-  static constexpr std::size_t kDefaultParallelThreshold = 2048;
+  /// The inline/pooled crossover of the default constructor: steps and
+  /// sweeps with fewer than 2^17 processors run on the caller. One fixed
+  /// constant, so every process makes the same choice (docs/PERF.md §6
+  /// records the measurements behind the value).
+  static constexpr std::size_t kParallelThreshold = std::size_t{1} << 17;
 
-  /// Adaptive threshold: micro-calibrated at construction (cached per
-  /// process), env-overridable. A zero-worker pool calibrates to
-  /// kNeverParallel, which hoists the old per-step `workers() == 0`
-  /// re-check out of the hot path entirely.
   ParallelExec(std::size_t processors, ThreadPool& pool)
-      : ParallelExec(processors, pool,
-                     calibrate_parallel_threshold(pool)) {}
+      : ParallelExec(processors, pool, kParallelThreshold) {}
 
   /// Explicit threshold: steps/sweeps with nprocs below it run inline on
-  /// the caller. The zero-worker hoist still applies.
+  /// the caller. Whatever the threshold, a pool with zero workers pins it
+  /// to kNeverParallel, so the per-step decision is one comparison.
   ParallelExec(std::size_t processors, ThreadPool& pool,
                std::size_t threshold)
-      : ParallelExec(processors, pool,
-                     Calibration{threshold, /*measured=*/false}) {}
+      : p_(processors),
+        pool_(&pool),
+        threshold_(pool.workers() == 0 ? kNeverParallel : threshold) {
+    LLMP_CHECK(processors >= 1);
+  }
 
   template <class F>
   void step(std::size_t nprocs, std::uint64_t unit_cost, F&& body) {
@@ -185,20 +185,10 @@ class ParallelExec {
   const Stats& stats() const { return stats_; }
 
   /// The effective inline/pooled crossover (kNeverParallel = always
-  /// inline, e.g. zero workers or a host where the pool never won).
+  /// inline, e.g. a pool with zero workers).
   std::size_t parallel_threshold() const { return threshold_; }
-  /// How the threshold was chosen (measured vs. pinned).
-  const Calibration& calibration() const { return calibration_; }
 
  private:
-  ParallelExec(std::size_t processors, ThreadPool& pool, Calibration cal)
-      : p_(processors),
-        pool_(&pool),
-        calibration_(cal),
-        threshold_(pool.workers() == 0 ? kNeverParallel : cal.threshold) {
-    LLMP_CHECK(processors >= 1);
-  }
-
   void account(std::size_t nprocs, std::uint64_t unit_cost) {
     stats_.depth += 1;
     stats_.time_p += ceil_div(nprocs, p_) * unit_cost;
@@ -207,7 +197,6 @@ class ParallelExec {
 
   std::size_t p_;
   ThreadPool* pool_;
-  Calibration calibration_;
   std::size_t threshold_;
   Stats stats_;
 };

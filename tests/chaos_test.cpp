@@ -28,6 +28,8 @@
 #include "support/alloc_counter.h"
 #include "support/failpoint.h"
 
+#include "serve_warmup.h"
+
 void* operator new(std::size_t size) {
   llmp::support::note_alloc();
   if (void* p = std::malloc(size)) return p;
@@ -416,8 +418,12 @@ TEST_F(Chaos, DisarmedFailpointsPreserveZeroSteadyStateAllocations) {
   for (std::uint64_t s = 0; s < 3; ++s)
     lists.push_back(list::generators::random_list(2000, s));
 
-  Service svc({.workers = 2});
-  ASSERT_EQ(hammer(svc, lists, 48, 2), 48u);  // warm every worker
+  testutil::WorkerRendezvous rendezvous(2);
+  Service svc(testutil::rendezvous_options(2, rendezvous));
+  ASSERT_EQ(testutil::warm_every_worker(
+                svc, rendezvous, lists,
+                {"match1", "match2", "match3", "match4", "sequential"}),
+            30u);
   svc.reset_stats();
   ASSERT_EQ(hammer(svc, lists, 40, 2), 40u);
   const ServiceStats st = svc.stats();

@@ -202,15 +202,14 @@ TEST(FusedBackend, FusedThreadBackendMatchesMachineReferee) {
   }
 }
 
-TEST(FusedBackend, AdaptiveThresholdSeamIsResultInvariant) {
-  // Whatever threshold calibration lands on, results must not depend on
-  // it: run match4 and the randomized baseline right at the calibrated
-  // seam and at extreme pins (always-inline vs always-pooled).
+TEST(FusedBackend, ConstantThresholdSeamIsResultInvariant) {
+  // Results must not depend on where the inline/pooled seam sits: run
+  // match4 and the randomized baseline right at a pinned seam and at the
+  // extreme pins (always-inline vs always-pooled). The seam is pinned
+  // well below ParallelExec::kParallelThreshold so n stays small and the
+  // test stays quick under TSan.
   pram::ThreadPool pool(2);
-  pram::ParallelExec calibrated(64, pool);
-  std::size_t t = calibrated.parallel_threshold();
-  if (t == pram::kNeverParallel || t > (std::size_t{1} << 14))
-    t = std::size_t{1} << 12;  // pool never won; still exercise both sides
+  const std::size_t t = std::size_t{1} << 12;
   for (const char* name : {"match4", "randomized"}) {
     const core::AlgorithmEntry* entry =
         core::AlgorithmRegistry::instance().find(name);

@@ -4,6 +4,7 @@
 // test: user-input errors come back as a Status — never an abort — while
 // internal invariants keep throwing llmp::check_error.
 #include <chrono>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -201,6 +202,21 @@ TEST(Facade, OptionOverridesApplyOnTopOfCanonical) {
   EXPECT_EQ(i2->relabel_rounds, 2);
   const auto erew = llmp::run(ctx, "match4", lst, {.erew = true});
   ASSERT_TRUE(erew.ok());
+}
+
+TEST(Facade, PhasesHoldOnlyTheLastRun) {
+  // The Context's phase sink is per run: a second run replaces the first
+  // run's phases instead of appending to them.
+  llmp::Context ctx;
+  const auto lst = list::generators::random_list(4000, 5);
+  ASSERT_TRUE(llmp::run(ctx, "match4", lst).ok());
+  std::vector<std::string> first;
+  for (const pram::Phase& ph : ctx.phases()) first.push_back(ph.name);
+  ASSERT_FALSE(first.empty());
+  ASSERT_TRUE(llmp::run(ctx, "match4", lst).ok());
+  std::vector<std::string> second;
+  for (const pram::Phase& ph : ctx.phases()) second.push_back(ph.name);
+  EXPECT_EQ(second, first);
 }
 
 TEST(Facade, ErrorsComeBackAsStatus) {

@@ -24,6 +24,8 @@
 #include "support/alloc_counter.h"
 #include "support/failpoint.h"
 
+#include "serve_warmup.h"
+
 void* operator new(std::size_t size) {
   llmp::support::note_alloc();
   if (void* p = std::malloc(size)) return p;
@@ -397,7 +399,8 @@ TEST(Serve, SteadyStateAllocationsAreZeroAfterWarmup) {
   for (std::uint64_t s = 0; s < 4; ++s) lists.push_back(make_list(3000, s));
   const char* algs[] = {"match1", "match2", "match3", "match4"};
 
-  Service svc({.workers = 2});
+  testutil::WorkerRendezvous rendezvous(2);
+  Service svc(testutil::rendezvous_options(2, rendezvous));
   auto fire = [&](int count) {
     std::vector<std::future<Result<MatchResult>>> futs;
     for (int k = 0; k < count; ++k)
@@ -405,7 +408,9 @@ TEST(Serve, SteadyStateAllocationsAreZeroAfterWarmup) {
                                  .algorithm = algs[k % 4]}));
     for (auto& f : futs) ASSERT_TRUE(f.get().ok());
   };
-  fire(48);  // warm both workers across all four algorithms
+  ASSERT_EQ(testutil::warm_every_worker(svc, rendezvous, lists,
+                                       {algs[0], algs[1], algs[2], algs[3]}),
+            32u);
   svc.reset_stats();
   fire(40);
   const ServiceStats st = svc.stats();

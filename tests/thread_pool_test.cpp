@@ -80,10 +80,10 @@ TEST(ThreadPool, ManySmallJobsReuseWorkers) {
 TEST(ParallelExec, ThresholdBoundaryMatchesSeqExecExactly) {
   // ParallelExec runs steps with nprocs below its threshold inline and
   // dispatches larger ones to the pool. Pin the seam with an explicit
-  // threshold (calibration would move it per machine): one below, at, and
-  // one above must all produce the same memory contents and the same
-  // Stats as SeqExec.
-  const std::size_t t = ParallelExec::kDefaultParallelThreshold;
+  // threshold small enough to keep the test fast: one below, at, and one
+  // above must all produce the same memory contents and the same Stats as
+  // SeqExec.
+  const std::size_t t = 2048;
   for (std::size_t n : {t - 1, t, t + 1}) {
     SeqExec seq(64);
     ThreadPool pool(3);
@@ -130,7 +130,7 @@ TEST(ParallelExec, SweepAccountsExactlyLikeStep) {
   // sweep(n, u, range_body) must charge the cost surface byte-identically
   // to step(n, u, body) — that is what keeps fused algorithms bit-equal to
   // the referee. Run one of each shape on both executors and compare.
-  const std::size_t t = ParallelExec::kDefaultParallelThreshold;
+  const std::size_t t = 2048;
   for (std::size_t n : {t - 1, t, t + 1}) {
     ThreadPool pool(3);
     ParallelExec stepper(64, pool, t);
@@ -154,8 +154,8 @@ TEST(ParallelExec, SweepAccountsExactlyLikeStep) {
 
 TEST(ParallelExec, ZeroWorkerPoolHoistsDispatchDecision) {
   // With no workers the pooled path can never win, so construction pins
-  // the threshold at kNeverParallel once — per-step re-checks of
-  // pool.workers() are gone (bench_dispatch measures the saving).
+  // the threshold at kNeverParallel once — no per-step re-check of
+  // pool.workers().
   ThreadPool pool(0);
   ParallelExec exec(64, pool);
   EXPECT_EQ(exec.parallel_threshold(), kNeverParallel);
@@ -166,20 +166,23 @@ TEST(ParallelExec, ZeroWorkerPoolHoistsDispatchDecision) {
 }
 
 TEST(ParallelExec, ExplicitThresholdOverridesCalibration) {
-  ThreadPool pool(2);
-  ParallelExec exec(64, pool, 123);
-  EXPECT_EQ(exec.parallel_threshold(), 123u);
-  EXPECT_FALSE(exec.calibration().measured);
+  // An explicit threshold replaces the default crossover, except on a
+  // zero-worker pool, where nothing is ever pooled.
+  ThreadPool two(2), none(0);
+  EXPECT_EQ(ParallelExec(64, two, 123).parallel_threshold(), 123u);
+  EXPECT_EQ(ParallelExec(64, none, 123).parallel_threshold(), kNeverParallel);
 }
 
 TEST(ParallelExec, DefaultConstructionCalibratesOncePerPool) {
-  // Default construction measures (or reads LLMP_PARALLEL_THRESHOLD) and
-  // caches per worker count: two executors over equal-sized pools must
-  // agree, and the result is a usable threshold (possibly kNeverParallel).
-  ThreadPool pool_a(2), pool_b(2);
-  ParallelExec a(64, pool_a), b(64, pool_b);
-  EXPECT_EQ(a.parallel_threshold(), b.parallel_threshold());
-  EXPECT_GE(a.parallel_threshold(), 1u);
+  // The default crossover is one constant, the same for every pool and in
+  // every process; no workers means never pooled.
+  ThreadPool pool_a(2), pool_b(2), none(0);
+  EXPECT_EQ(ParallelExec::kParallelThreshold, std::size_t{1} << 17);
+  EXPECT_EQ(ParallelExec(64, pool_a).parallel_threshold(),
+            ParallelExec::kParallelThreshold);
+  EXPECT_EQ(ParallelExec(64, pool_b).parallel_threshold(),
+            ParallelExec::kParallelThreshold);
+  EXPECT_EQ(ParallelExec(64, none).parallel_threshold(), kNeverParallel);
 }
 
 TEST(Barrier, SynchronizesPhases) {

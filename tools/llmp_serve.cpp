@@ -1,7 +1,6 @@
 // llmp_serve — load generator, network server and network client for the
 // serve layer, in one binary. Three modes, chosen by the --net.* flags
-// (src/net/cli.h owns the flag grammar; every pre-namespace flag remains
-// a valid alias):
+// (src/net/cli.h owns the flag grammar; each flag has one spelling):
 //
 //   (default)            classic in-process loop: spin up a Service, fire
 //                        the request stream at it from this thread, print
