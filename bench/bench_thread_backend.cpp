@@ -6,10 +6,14 @@
 //
 // "Legacy" here is the same binary with the fast paths switched off
 // (pram::tuning().fused = false) and the threshold pinned at the
-// historical crossover kLegacyThreshold: that combination executes the
-// identical per-element step bodies the backend ran before the fused
-// sweeps existed, so the ratio is a faithful before/after. Both modes MUST
-// produce bit-identical results and cost surfaces (asserted here with
+// historical crossover kLegacyThreshold: the per-element dispatch the
+// backend ran before the fused sweeps existed. For the kernels written
+// once through pram::range_step that means width-1 dispatch of the same
+// body, one step call per element; relabel, relabel_rounds, the gather
+// concatenation rounds and wyllie run their per-element reference
+// bodies. So the ratio measures the chunk loop, prefetch, SIMD and
+// layout against per-element dispatch. Both modes MUST produce
+// bit-identical results and cost surfaces (asserted here with
 // LLMP_CHECK and enforced independently by tests/fused_backend_test.cpp);
 // only the wall clock may move.
 //

@@ -12,18 +12,19 @@ EXACTLY against bench/baselines/BENCH_<name>.json. Wall-clock columns
 
 Usage:
   scripts/bench_gate.py [--build-dir build] [--update] [name ...]
-  scripts/bench_gate.py --speedup bench/baselines/PERF_<...>.json
+  scripts/bench_gate.py --speedup CAPTURE.json
 
 With --update the current output replaces the baseline (commit the diff
 alongside the change that explains it). Names default to every GATE
 entry. Exit status: 0 clean, 1 drift or missing baseline.
 
 --speedup switches to the wall-clock acceptance check for the fused
-thread backend: it reads a committed bench_thread_backend JSON capture
-(taken at n >= 1M) and requires vs_legacy >= --min-ratio on at least
---min-count workloads. Wall ratios are machine noise for the *drift*
-gate, but for the capture that documents the raw-speed pass they are the
-whole point — this mode is how CI keeps that evidence honest.
+thread backend: it reads a bench_thread_backend JSON capture (taken at
+n >= 1M; scripts/check.sh takes it live on the build under test) and
+requires vs_legacy >= --min-ratio on at least --min-count workloads.
+Wall ratios are machine noise for the *drift* gate, but for the
+raw-speed pass they are the whole point — this mode is how CI keeps that
+evidence honest on the code and host in hand.
 """
 
 import argparse

@@ -10,8 +10,9 @@
 #   2b. the bench perf gate: deterministic counters (cache loads/spills,
 #      mailbox traffic, set counts) diffed exactly against the committed
 #      baselines in bench/baselines/ (scripts/bench_gate.py), plus the
-#      raw-speed acceptance: the committed bench_thread_backend capture
-#      must show fused >= 1.5x legacy on >= 2 workloads at n >= 1M,
+#      raw-speed acceptance: a bench_thread_backend capture taken live on
+#      this build at n = 2^21 (--workers 0, both modes inline) must show
+#      fused >= 1.5x legacy on >= 2 workloads,
 #   2c. the network loopback smoke: llmp_serve --net.listen driven by
 #      llmp_serve --net.connect over a real socket, then the
 #      bench_serve_net load generator — zero lost/duplicated responses
@@ -54,8 +55,11 @@ echo "== [2/5] llmp_lint + llmp_prove =="
 
 echo "== [2b/5] bench perf gate (deterministic counters vs baselines) =="
 python3 scripts/bench_gate.py --build-dir build
-python3 scripts/bench_gate.py \
-  --speedup bench/baselines/PERF_thread_backend_n2097152.json
+SPEEDUP_JSON="$(mktemp /tmp/llmp_speedup.XXXXXX)"
+./build/bench/bench_thread_backend --n 2097152 --workers 0 \
+  --json="$SPEEDUP_JSON" >/dev/null
+python3 scripts/bench_gate.py --speedup "$SPEEDUP_JSON"
+rm -f "$SPEEDUP_JSON"
 
 echo "== [2c/5] network loopback smoke (wire protocol over a real socket) =="
 ./build/tools/llmp_serve --net.listen 0 --serve.workers 2 \
@@ -109,6 +113,6 @@ cmake --build build-tsan -j "$JOBS" \
   --target thread_pool_test machine_test serve_test chaos_test \
   fused_backend_test net_server_test
 (cd build-tsan && ctest --output-on-failure -j "$JOBS" \
-  -R "ThreadPool|Machine|Serve|BoundedQueue|Chaos|FusedBackend|Net")
+  -R "ThreadPool|Machine|RangeStep|Serve|BoundedQueue|Chaos|FusedBackend|Net")
 
 echo "check.sh: all green"

@@ -18,7 +18,10 @@
 // declares that bound as its unit cost.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/fanout.h"
@@ -36,76 +39,6 @@ struct CutStats {
   std::size_t max_run = 0;  ///< longest sublist walked in step 4
 };
 
-namespace detail {
-/// Fused step-3 kernel: mark strict-local-minimum cut pointers over
-/// [lo, hi), prefetching the three neighbour-cell chases ahead. The label
-/// type is templated: constant-alphabet labels fit a byte, and the fused
-/// caller narrows them first so the neighbour chases touch an n-byte
-/// array instead of the 8n-byte input.
-template <class LabelT>
-inline void cut_mark_span(const index_t* nx, const index_t* pr,
-                          const LabelT* pl, std::uint8_t* cut_flags,
-                          std::size_t lo, std::size_t hi) {
-  const std::size_t dist =
-      static_cast<std::size_t>(pram::tuning().prefetch.distance);
-  for (std::size_t v = lo; v < hi; ++v) {
-    if (dist != 0 && v + dist < hi) {
-      const index_t pf_n = nx[v + dist];
-      const index_t pf_p = pr[v + dist];
-      if (pf_n != knil) {
-        pram::prefetch_ro(pl + pf_n);
-        pram::prefetch_ro(nx + pf_n);
-      }
-      if (pf_p != knil) pram::prefetch_ro(pl + pf_p);
-    }
-    const index_t nv = nx[v];
-    if (nv == knil) continue;  // no pointer e_v
-    const index_t pv = pr[v];
-    if (pv == knil) continue;  // boundary: never cut
-    if (nx[nv] == knil) continue;
-    const LabelT here = pl[v];
-    if (pl[pv] > here && here < pl[nv]) cut_flags[v] = 1;
-  }
-}
-
-/// Fused step-4 kernel: every run head in [lo, hi) walks its run taking
-/// alternate pointers. Walks may leave the chunk — they only *read* cells
-/// no walker writes this step, and the written cells (in_matching,
-/// run_len) are disjoint per run, so chunked execution stays exact.
-template <class RunT>
-inline void cut_walk_span(const index_t* nx, const index_t* pr,
-                          const std::uint8_t* cut_flags,
-                          std::uint8_t* matched, RunT* run_len,
-                          std::size_t lo, std::size_t hi,
-                          std::size_t max_run) {
-  const std::size_t dist =
-      static_cast<std::size_t>(pram::tuning().prefetch.distance);
-  for (std::size_t v = lo; v < hi; ++v) {
-    if (dist != 0 && v + dist < hi) {
-      const index_t pf_p = pr[v + dist];
-      if (pf_p != knil) pram::prefetch_ro(cut_flags + pf_p);
-    }
-    const index_t pv = pr[v];
-    if (nx[v] == knil) continue;
-    if (pv != knil && !cut_flags[pv]) continue;
-    std::size_t len = 0;
-    bool take = true;
-    index_t u = static_cast<index_t>(v);
-    for (;;) {
-      ++len;
-      LLMP_CHECK_MSG(len <= max_run, "run exceeds 2·alphabet − 1");
-      if (take) matched[u] = 1;
-      take = !take;
-      const index_t u2 = nx[u];
-      if (nx[u2] == knil) break;
-      if (cut_flags[u2]) break;  // run ends
-      u = u2;
-    }
-    run_len[v] = static_cast<RunT>(len);
-  }
-}
-}  // namespace detail
-
 /// Execute steps 3–4. `alphabet` is an upper bound on plabel values + 1
 /// (6 for the fixed-point labels; 3 for Match4's WalkDown output).
 /// `pred` is the predecessor array; `in_matching` receives the result.
@@ -121,92 +54,102 @@ CutStats cut_and_walk(Exec& exec, const list::LinkedList& list,
   if (n <= 1) return {};
   const auto& next = list.next_array();
   const std::size_t max_run = 2 * static_cast<std::size_t>(alphabet) - 1;
+  const std::size_t dist =
+      static_cast<std::size_t>(pram::tuning().prefetch.distance);
 
   // Step 3: mark cut pointers. Each processor reads three label cells
-  // (its own pointer's and both neighbours') — CREW.
+  // (its own pointer's and both neighbours') — CREW. Constant-alphabet
+  // labels fit a byte, so they are narrowed first and the neighbour chases
+  // touch an n-byte array instead of the 8n-byte input; the wide labels
+  // are the fallback above 256.
   auto cut_h = pram::scratch<std::uint8_t>(exec, n);
   std::vector<std::uint8_t>& cut = *cut_h;
-  CutStats stats;
-  if constexpr (pram::has_sweep_v<Exec>) {
-    if (pram::tuning().fused) {
-      const index_t* nx = next.data();
-      const index_t* pr = pred.data();
-      std::uint8_t* cf = cut.data();
-      std::uint8_t* matched = in_matching.data();
-      // Runs are bounded by 2·alphabet − 1, so the audit column fits
-      // uint32 comfortably for any alphabet the narrow check below admits
-      // and for the wide fallback alike.
-      auto run32_h = pram::scratch<std::uint32_t>(exec, n);
-      std::vector<std::uint32_t>& run32 = *run32_h;
-      std::uint32_t* rl = run32.data();
-      if (alphabet <= 256) {
-        auto pl8_h = pram::scratch<std::uint8_t>(exec, n);
-        std::uint8_t* pl8 = (*pl8_h).data();
-        const label_t* wide = plabel.data();
-        for (std::size_t v = 0; v < n; ++v)
-          pl8[v] = static_cast<std::uint8_t>(wide[v]);
-        exec.sweep(n, 1, [=](std::size_t lo, std::size_t hi) {
-          detail::cut_mark_span(nx, pr, pl8, cf, lo, hi);
-        });
-      } else {
-        const label_t* pl = plabel.data();
-        exec.sweep(n, 1, [=](std::size_t lo, std::size_t hi) {
-          detail::cut_mark_span(nx, pr, pl, cf, lo, hi);
-        });
+  auto mark_cuts = [&](const auto& labels) {
+    using LabelT = typename std::decay_t<decltype(labels)>::value_type;
+    pram::range_step(exec, n, 1, [&, dist](std::size_t lo, std::size_t hi,
+                                           auto&& m) {
+      const std::span<const index_t> nx = next, pr = pred;
+      const std::span<const LabelT> pl = labels;
+      const std::span<std::uint8_t> cf = cut;
+      for (std::size_t v = lo; v < hi; ++v) {
+        if (dist != 0 && v + dist < hi) {
+          const index_t pf_n = m.rd(nx, v + dist);
+          const index_t pf_p = m.rd(pr, v + dist);
+          if (pf_n != knil) {
+            pram::prefetch_ro(pl.data() + pf_n);
+            pram::prefetch_ro(nx.data() + pf_n);
+          }
+          if (pf_p != knil) pram::prefetch_ro(pl.data() + pf_p);
+        }
+        const index_t nv = m.rd(nx, v);
+        if (nv == knil) continue;             // no pointer e_v
+        const index_t pv = m.rd(pr, v);
+        if (pv == knil) continue;             // boundary: never cut
+        if (m.rd(nx, nv) == knil) continue;
+        const LabelT here = m.rd(pl, v);
+        const LabelT before = m.rd(pl, pv);
+        const LabelT after = m.rd(pl, nv);
+        LLMP_DCHECK(here != before && here != after);
+        if (before > here && here < after) m.wr(cf, v, std::uint8_t{1});
       }
-      exec.sweep(n, max_run, [=](std::size_t lo, std::size_t hi) {
-        detail::cut_walk_span(nx, pr, cf, matched, rl, lo, hi, max_run);
-      });
-      for (index_t v = 0; v < n; ++v) {
-        stats.max_run =
-            std::max(stats.max_run, static_cast<std::size_t>(run32[v]));
-        stats.cuts += cut[v];
-      }
-      return stats;
-    }
+    });
+  };
+  if (alphabet <= 256) {
+    auto pl8_h = pram::scratch<std::uint8_t>(exec, n);
+    std::vector<std::uint8_t>& pl8 = *pl8_h;
+    std::transform(plabel.begin(), plabel.end(), pl8.begin(),
+                   [](label_t x) { return static_cast<std::uint8_t>(x); });
+    mark_cuts(pl8);
+  } else {
+    mark_cuts(plabel);
   }
-  auto run_len_h = pram::scratch<std::size_t>(exec, n);  // max_run audit
-  std::vector<std::size_t>& run_len = *run_len_h;
-  exec.step(n, [&](std::size_t v, auto&& m) {
-    const index_t nv = m.rd(next, v);
-    if (nv == knil) return;                       // no pointer e_v
-    const index_t pv = m.rd(pred, v);
-    if (pv == knil) return;                       // boundary: never cut
-    if (m.rd(next, static_cast<std::size_t>(nv)) == knil) return;
-    const label_t here = m.rd(plabel, v);
-    const label_t before = m.rd(plabel, static_cast<std::size_t>(pv));
-    const label_t after = m.rd(plabel, static_cast<std::size_t>(nv));
-    LLMP_DCHECK(here != before && here != after);
-    if (before > here && here < after) m.wr(cut, v, std::uint8_t{1});
-  });
 
   // Step 4: each sublist head walks its run, taking alternate pointers.
   // A head is a node whose pointer exists and whose predecessor pointer is
-  // absent or cut. Every run's first pointer is taken.
-  exec.step(n, max_run, [&](std::size_t v, auto&& m) {
-    const index_t pv = m.rd(pred, v);
-    if (m.rd(next, v) == knil) return;
-    if (pv != knil && !m.rd(cut, static_cast<std::size_t>(pv))) return;
-    // v heads a run (cut pointers head nothing: no two cuts are adjacent,
-    // and a head's own pointer is never cut — see header comment).
-    std::size_t len = 0;
-    bool take = true;
-    index_t u = static_cast<index_t>(v);
-    for (;;) {
-      ++len;
-      LLMP_CHECK_MSG(len <= max_run, "run exceeds 2·alphabet − 1");
-      if (take) m.wr(in_matching, static_cast<std::size_t>(u), std::uint8_t{1});
-      take = !take;
-      const index_t u2 = m.rd(next, static_cast<std::size_t>(u));
-      if (m.rd(next, static_cast<std::size_t>(u2)) == knil) break;
-      if (m.rd(cut, static_cast<std::size_t>(u2))) break;  // run ends
-      u = u2;
+  // absent or cut. Every run's first pointer is taken. Walks may leave
+  // their chunk: they only read cells no walker writes this step, and the
+  // written cells (in_matching, run_len) are disjoint per run. Runs are
+  // bounded by 2·alphabet − 1, so the audit column fits uint32.
+  auto run_len_h = pram::scratch<std::uint32_t>(exec, n);
+  std::vector<std::uint32_t>& run_len = *run_len_h;
+  pram::range_step(exec, n, max_run, [&, dist, max_run](
+                                         std::size_t lo, std::size_t hi,
+                                         auto&& m) {
+    const std::span<const index_t> nx = next, pr = pred;
+    const std::span<const std::uint8_t> cf = cut;
+    const std::span<std::uint8_t> matched = in_matching;
+    const std::span<std::uint32_t> rl = run_len;
+    for (std::size_t v = lo; v < hi; ++v) {
+      if (dist != 0 && v + dist < hi) {
+        const index_t pf_p = m.rd(pr, v + dist);
+        if (pf_p != knil) pram::prefetch_ro(cf.data() + pf_p);
+      }
+      const index_t pv = m.rd(pr, v);
+      if (m.rd(nx, v) == knil) continue;
+      if (pv != knil && !m.rd(cf, pv)) continue;
+      // v heads a run (cut pointers head nothing: no two cuts are adjacent,
+      // and a head's own pointer is never cut — see header comment).
+      std::size_t len = 0;
+      bool take = true;
+      index_t u = static_cast<index_t>(v);
+      for (;;) {
+        ++len;
+        LLMP_CHECK_MSG(len <= max_run, "run exceeds 2·alphabet − 1");
+        if (take) m.wr(matched, u, std::uint8_t{1});
+        take = !take;
+        const index_t u2 = m.rd(nx, u);
+        if (m.rd(nx, u2) == knil) break;
+        if (m.rd(cf, u2)) break;  // run ends
+        u = u2;
+      }
+      m.wr(rl, v, static_cast<std::uint32_t>(len));
     }
-    m.wr(run_len, v, len);
   });
 
+  CutStats stats;
   for (index_t v = 0; v < n; ++v) {
-    stats.max_run = std::max(stats.max_run, run_len[v]);
+    stats.max_run =
+        std::max(stats.max_run, static_cast<std::size_t>(run_len[v]));
     stats.cuts += cut[v];
   }
   return stats;

@@ -95,18 +95,14 @@ void gather_labels(Exec& exec, const list::LinkedList& list,
   auto lbl2_h = pram::scratch<label_t>(exec, n);
   std::vector<label_t>& lbl2 = *lbl2_h;
 
+  pram::range_step(exec, n, 1, [&](std::size_t lo, std::size_t hi, auto&& m) {
+    for (std::size_t v = lo; v < hi; ++v) {
+      const index_t s = m.rd(next_arr, v);
+      m.wr(nxt, v, s == knil ? head : s);
+    }
+  });
   if constexpr (pram::has_sweep_v<Exec>) {
     if (pram::tuning().fused) {
-      {
-        const index_t* na = next_arr.data();
-        index_t* jn = nxt.data();
-        exec.sweep(n, 1, [=](std::size_t lo, std::size_t hi) {
-          for (std::size_t v = lo; v < hi; ++v) {
-            const index_t s = na[v];
-            jn[v] = s == knil ? head : s;
-          }
-        });
-      }
       for (int t = 0; t < jump_rounds; ++t) {
         const int shift = component_bits << t;
         const index_t* jn = nxt.data();
@@ -122,10 +118,6 @@ void gather_labels(Exec& exec, const list::LinkedList& list,
       return;
     }
   }
-  exec.step(n, [&](std::size_t v, auto&& m) {
-    const index_t s = m.rd(next_arr, v);
-    m.wr(nxt, v, s == knil ? head : s);
-  });
   for (int t = 0; t < jump_rounds; ++t) {
     const int shift = component_bits << t;  // current label width in bits
     exec.step(n, [&](std::size_t v, auto&& m) {
@@ -140,29 +132,22 @@ void gather_labels(Exec& exec, const list::LinkedList& list,
   }
 }
 
-/// Replace every label by its table value (Match3 step 4): one step.
+/// Replace every label by its table value (Match3 step 4): one step. The
+/// table is read-only host data, not shared PRAM memory, so its probe is
+/// untracked; the probe target is prefetched ahead of the dependent load.
 template <class Exec>
 void lookup_labels(Exec& exec, const MatchingLookupTable& table,
                    std::vector<label_t>& labels) {
   const std::size_t n = labels.size();
-  if constexpr (pram::has_sweep_v<Exec>) {
-    if (pram::tuning().fused) {
-      label_t* lb = labels.data();
-      const std::uint8_t* cells = table.raw();
-      const std::size_t dist =
-          static_cast<std::size_t>(pram::tuning().prefetch.distance);
-      exec.sweep(n, 1, [=](std::size_t lo, std::size_t hi) {
-        for (std::size_t v = lo; v < hi; ++v) {
-          if (dist != 0 && v + dist < hi)
-            pram::prefetch_ro(cells + lb[v + dist]);
-          lb[v] = cells[lb[v]];
-        }
-      });
-      return;
+  const std::uint8_t* cells = table.raw();
+  const std::size_t dist =
+      static_cast<std::size_t>(pram::tuning().prefetch.distance);
+  pram::range_step(exec, n, 1, [&](std::size_t lo, std::size_t hi, auto&& m) {
+    for (std::size_t v = lo; v < hi; ++v) {
+      if (dist != 0 && v + dist < hi)
+        pram::prefetch_ro(cells + m.rd(labels, v + dist));
+      m.wr(labels, v, table.value(m.rd(labels, v)));
     }
-  }
-  exec.step(n, [&](std::size_t v, auto&& m) {
-    m.wr(labels, v, table.value(m.rd(labels, v)));
   });
 }
 

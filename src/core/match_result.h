@@ -49,33 +49,21 @@ void parallel_predecessors_into(Exec& exec, const list::LinkedList& list,
   const std::size_t n = list.size();
   const auto& next = list.next_array();
   LLMP_CHECK(pred.size() == n);
-  if constexpr (pram::has_sweep_v<Exec>) {
-    if (pram::tuning().fused) {
-      const index_t* nx = next.data();
-      index_t* pr = pred.data();
-      exec.sweep(n, 1, [pr](std::size_t lo, std::size_t hi) {
-        for (std::size_t v = lo; v < hi; ++v) pr[v] = knil;
-      });
-      const std::size_t dist =
-          static_cast<std::size_t>(pram::tuning().prefetch.distance);
-      exec.sweep(n, 1, [=](std::size_t lo, std::size_t hi) {
-        for (std::size_t v = lo; v < hi; ++v) {
-          if (dist != 0 && v + dist < hi) {
-            const index_t pf = nx[v + dist];
-            if (pf != knil) pram::prefetch_rw(pr + pf);
-          }
-          const index_t s = nx[v];
-          if (s != knil) pr[s] = static_cast<index_t>(v);
-        }
-      });
-      return;
+  pram::range_step(exec, n, 1, [&](std::size_t lo, std::size_t hi, auto&& m) {
+    for (std::size_t v = lo; v < hi; ++v) m.wr(pred, v, knil);
+  });
+  const std::size_t dist =
+      static_cast<std::size_t>(pram::tuning().prefetch.distance);
+  pram::range_step(exec, n, 1, [&](std::size_t lo, std::size_t hi, auto&& m) {
+    for (std::size_t v = lo; v < hi; ++v) {
+      if (dist != 0 && v + dist < hi) {
+        const index_t pf = m.rd(next, v + dist);
+        if (pf != knil) pram::prefetch_rw(pred.data() + pf);
+      }
+      const index_t s = m.rd(next, v);
+      if (s != knil)
+        m.wr(pred, static_cast<std::size_t>(s), static_cast<index_t>(v));
     }
-  }
-  exec.step(n, [&](std::size_t v, auto&& m) { m.wr(pred, v, knil); });
-  exec.step(n, [&](std::size_t v, auto&& m) {
-    const index_t s = m.rd(next, v);
-    if (s != knil) m.wr(pred, static_cast<std::size_t>(s),
-                        static_cast<index_t>(v));
   });
 }
 

@@ -250,17 +250,9 @@ template <class Exec>
 void init_address_labels(Exec& exec, std::size_t n,
                          std::vector<label_t>& labels) {
   labels.assign(n, 0);
-  if constexpr (pram::has_sweep_v<Exec>) {
-    if (pram::tuning().fused) {
-      label_t* dst = labels.data();
-      exec.sweep(n, 1, [dst](std::size_t lo, std::size_t hi) {
-        for (std::size_t v = lo; v < hi; ++v) dst[v] = static_cast<label_t>(v);
-      });
-      return;
-    }
-  }
-  exec.step(n, [&](std::size_t v, auto&& m) {
-    m.wr(labels, v, static_cast<label_t>(v));
+  pram::range_step(exec, n, 1, [&](std::size_t lo, std::size_t hi, auto&& m) {
+    for (std::size_t v = lo; v < hi; ++v)
+      m.wr(labels, v, static_cast<label_t>(v));
   });
 }
 

@@ -36,6 +36,7 @@
 #pragma once
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "core/fanout.h"
@@ -136,50 +137,29 @@ void walkdown1(Exec& exec, const list::LinkedList& list, const Layout2D& lay,
                const std::vector<index_t>& pred,
                std::vector<std::uint8_t>& color) {
   const auto& next = list.next_array();
-  if constexpr (pram::has_sweep_v<Exec>) {
-    if (pram::tuning().fused) {
-      const index_t* nx = next.data();
-      const index_t* pr = pred.data();
-      const index_t* cell = lay.cell_node.vec().data();
-      const index_t* rowv = lay.node_row.vec().data();
-      std::uint8_t* col = color.data();
-      const std::size_t rows = lay.rows;
-      const std::size_t dist =
-          static_cast<std::size_t>(pram::tuning().prefetch.distance);
-      for (std::size_t t = 0; t < rows; ++t) {
-        exec.sweep(lay.cols, 1, [=](std::size_t lo, std::size_t hi) {
-          for (std::size_t j = lo; j < hi; ++j) {
-            if (dist != 0 && j + dist < hi)
-              pram::prefetch_ro(cell + (j + dist) * rows + t);
-            const index_t v = cell[j * rows + t];
-            if (v == knil) continue;  // padding cell
-            const index_t s = nx[v];
-            if (s == knil) continue;  // tail: no pointer
-            if (rowv[v] == rowv[s]) continue;  // intra-row
-            const index_t pv = pr[v];
-            const std::uint8_t before = pv == knil ? kNoColor : col[pv];
-            col[v] = smallest_free_color(before, col[s]);
-          }
-        });
+  const std::size_t rows = lay.rows;
+  const std::size_t dist =
+      static_cast<std::size_t>(pram::tuning().prefetch.distance);
+  for (std::size_t t = 0; t < rows; ++t) {
+    pram::range_step(exec, lay.cols, 1, [&, t, rows, dist](
+                                            std::size_t lo, std::size_t hi,
+                                            auto&& m) {
+      const std::span<const index_t> cell = lay.cell_node.vec(), nx = next,
+                                     row = lay.node_row.vec(), pr = pred;
+      const std::span<std::uint8_t> col = color;
+      for (std::size_t j = lo; j < hi; ++j) {
+        if (dist != 0 && j + dist < hi)
+          pram::prefetch_ro(cell.data() + (j + dist) * rows + t);
+        const index_t v = m.rd(cell, j * rows + t);
+        if (v == knil) continue;  // padding cell
+        const index_t s = m.rd(nx, v);
+        if (s == knil) continue;  // tail: no pointer
+        if (m.rd(row, v) == m.rd(row, s)) continue;  // intra-row: WalkDown2
+        const index_t pv = m.rd(pr, v);
+        const std::uint8_t before = pv == knil ? kNoColor : m.rd(col, pv);
+        const std::uint8_t after = m.rd(col, s);
+        m.wr(col, v, smallest_free_color(before, after));
       }
-      return;
-    }
-  }
-  for (std::size_t t = 0; t < lay.rows; ++t) {
-    exec.step(lay.cols, [&](std::size_t j, auto&& m) {
-      const index_t v = m.rd(lay.cell_node, j * lay.rows + t);
-      if (v == knil) return;  // padding cell
-      const index_t s = m.rd(next, static_cast<std::size_t>(v));
-      if (s == knil) return;  // tail: no pointer
-      if (m.rd(lay.node_row, static_cast<std::size_t>(v)) ==
-          m.rd(lay.node_row, static_cast<std::size_t>(s)))
-        return;  // intra-row: WalkDown2's job
-      const index_t pv = m.rd(pred, static_cast<std::size_t>(v));
-      const std::uint8_t before =
-          pv == knil ? kNoColor : m.rd(color, static_cast<std::size_t>(pv));
-      const std::uint8_t after = m.rd(color, static_cast<std::size_t>(s));
-      m.wr(color, static_cast<std::size_t>(v),
-           smallest_free_color(before, after));
     });
   }
 }
@@ -211,95 +191,58 @@ WalkDown2Trace walkdown2(Exec& exec, const list::LinkedList& list,
   std::vector<index_t>& count = *count_h;
   std::vector<index_t>& index = *index_h;
 
-  if constexpr (pram::has_sweep_v<Exec>) {
-    if (pram::tuning().fused) {
-      const index_t* nx = next.data();
-      const index_t* pr = pred.data();
-      const index_t* cell = lay.cell_node.vec().data();
-      const index_t* rowv = lay.node_row.vec().data();
-      const index_t* keyv = lay.node_key.vec().data();
-      std::uint8_t* col = color.data();
-      index_t* cnt_a = count.data();
-      index_t* idx_a = index.data();
-      index_t* done = trace.handled_at.vec().data();
-      const std::size_t rows = lay.rows;
-      const std::size_t dist =
-          static_cast<std::size_t>(pram::tuning().prefetch.distance);
-      exec.sweep(lay.cols, 1, [=](std::size_t lo, std::size_t hi) {
-        for (std::size_t j = lo; j < hi; ++j) {
-          cnt_a[j] = 0;
-          idx_a[j] = 0;
-        }
-      });
-      for (std::size_t k = 0; k < total_steps; ++k) {
-        exec.sweep(lay.cols, 1, [=](std::size_t lo, std::size_t hi) {
-          for (std::size_t j = lo; j < hi; ++j) {
-            const index_t idx = idx_a[j];
-            if (idx >= rows) continue;  // column fully walked
-            if (dist != 0 && j + dist < hi && idx_a[j + dist] < rows)
-              pram::prefetch_ro(cell + (j + dist) * rows + idx_a[j + dist]);
-            const index_t v = cell[j * rows + idx];
-            if (v == knil) {  // padding: walk straight past
-              idx_a[j] = static_cast<index_t>(idx + 1);
-              continue;
-            }
-            const index_t cnt = cnt_a[j];
-            if (keyv[v] != cnt) {  // idle in this row, advance the count
-              cnt_a[j] = static_cast<index_t>(cnt + 1);
-              continue;
-            }
-            // "Mark the cell": handle the pointer if it is intra-row.
-            done[v] = static_cast<index_t>(k);
-            const index_t s = nx[v];
-            if (s != knil && rowv[v] == rowv[s]) {
-              const index_t pv = pr[v];
-              const std::uint8_t before = pv == knil ? kNoColor : col[pv];
-              col[v] = smallest_free_color(before, col[s]);
-            }
-            idx_a[j] = static_cast<index_t>(idx + 1);
-          }
-        });
-      }
-      return trace;
+  const std::size_t rows = lay.rows;
+  const std::size_t dist =
+      static_cast<std::size_t>(pram::tuning().prefetch.distance);
+  pram::range_step(exec, lay.cols, 1,
+                   [&](std::size_t lo, std::size_t hi, auto&& m) {
+    for (std::size_t j = lo; j < hi; ++j) {
+      m.wr(count, j, index_t{0});
+      m.wr(index, j, index_t{0});
     }
-  }
-  exec.step(lay.cols, [&](std::size_t j, auto&& m) {
-    m.wr(count, j, index_t{0});
-    m.wr(index, j, index_t{0});
   });
 
   for (std::size_t k = 0; k < total_steps; ++k) {
-    exec.step(lay.cols, [&](std::size_t j, auto&& m) {
-      const index_t idx = m.rd(index, j);
-      if (idx >= lay.rows) return;  // column fully walked
-      const index_t v = m.rd(lay.cell_node, j * lay.rows + idx);
-      if (v == knil) {  // padding: walk straight past
-        m.wr(index, j, static_cast<index_t>(idx + 1));
-        return;
+    pram::range_step(exec, lay.cols, 1, [&, k, rows, dist](
+                                            std::size_t lo, std::size_t hi,
+                                            auto&& m) {
+      const std::span<const index_t> cell = lay.cell_node.vec(), nx = next,
+                                     row = lay.node_row.vec(),
+                                     key = lay.node_key.vec(), pr = pred;
+      const std::span<index_t> cnt_a = count, idx_a = index,
+                               done = trace.handled_at.vec();
+      const std::span<std::uint8_t> col = color;
+      for (std::size_t j = lo; j < hi; ++j) {
+        const index_t idx = m.rd(idx_a, j);
+        if (idx >= rows) continue;  // column fully walked
+        // The hint reads index[j + dist] before its own processor, later
+        // in this chunk, writes it: the step-start value, as required.
+        if (dist != 0 && j + dist < hi) {
+          const index_t ahead = m.rd(idx_a, j + dist);
+          if (ahead < rows)
+            pram::prefetch_ro(cell.data() + (j + dist) * rows + ahead);
+        }
+        const index_t v = m.rd(cell, j * rows + idx);
+        if (v == knil) {  // padding: walk straight past
+          m.wr(idx_a, j, static_cast<index_t>(idx + 1));
+          continue;
+        }
+        const index_t cnt = m.rd(cnt_a, j);
+        if (m.rd(key, v) != cnt) {  // idle in this row, advance the count
+          m.wr(cnt_a, j, static_cast<index_t>(cnt + 1));
+          continue;
+        }
+        // "Mark the cell": handle the pointer if it is intra-row.
+        m.wr(done, v, static_cast<index_t>(k));
+        const index_t s = m.rd(nx, v);
+        if (s != knil && m.rd(row, v) == m.rd(row, s)) {
+          const index_t pv = m.rd(pr, v);
+          const std::uint8_t before = pv == knil ? kNoColor : m.rd(col, pv);
+          const std::uint8_t after = m.rd(col, s);
+          m.wr(col, v, smallest_free_color(before, after));
+        }
+        m.wr(idx_a, j, static_cast<index_t>(idx + 1));
       }
-      const index_t cnt = m.rd(count, j);
-      const index_t key = m.rd(lay.node_key, static_cast<std::size_t>(v));
-      if (key != cnt) {  // idle in this row, advance the count
-        m.wr(count, j, static_cast<index_t>(cnt + 1));
-        return;
-      }
-      // "Mark the cell": handle the pointer if it is intra-row.
-      m.wr(trace.handled_at, static_cast<std::size_t>(v),
-           static_cast<index_t>(k));
-      const index_t s = m.rd(next, static_cast<std::size_t>(v));
-      if (s != knil &&
-          m.rd(lay.node_row, static_cast<std::size_t>(v)) ==
-              m.rd(lay.node_row, static_cast<std::size_t>(s))) {
-        const index_t pv = m.rd(pred, static_cast<std::size_t>(v));
-        const std::uint8_t before =
-            pv == knil ? kNoColor
-                       : m.rd(color, static_cast<std::size_t>(pv));
-        const std::uint8_t after =
-            m.rd(color, static_cast<std::size_t>(s));
-        m.wr(color, static_cast<std::size_t>(v),
-             smallest_free_color(before, after));
-      }
-      m.wr(index, j, static_cast<index_t>(idx + 1));
     });
   }
   return trace;

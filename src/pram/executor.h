@@ -28,13 +28,18 @@
 // Beside step, the fast executors offer the *fused sweep* (sweep.h):
 // sweep(n, u, body) is one accounted step whose body receives a contiguous
 // index range [lo, hi) — inline below the parallel threshold, one chunk
-// per pool thread above it — so hot kernels run raw-array loops with no
-// per-element dispatch. sweep accounts exactly like step, so fused and
-// legacy runs have bit-identical cost surfaces.
+// per pool thread above it — so hot kernels loop with no per-element
+// dispatch. sweep accounts exactly like step. Most kernels reach it
+// through pram::range_step (sweep.h), which takes one range body written
+// over the m.rd / m.wr accessor and runs it as a sweep with DirectMem
+// here, or one processor per call on the tracked executors — so the body
+// that ships is the body the referee audits. Only four kernels whose fast
+// body differs in data layout call sweep directly (sweep.h lists them).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -49,16 +54,32 @@ namespace llmp::pram {
 inline constexpr std::size_t kNeverParallel = static_cast<std::size_t>(-1);
 
 /// Untracked pass-through memory accessor used by the fast executors.
+///
+/// Like every accessor it takes a shared array as a std::vector, a
+/// pram::ScratchVec, or a std::span bound to one. Range bodies bind spans
+/// once per call: a local (pointer, length) pair that byte-sized stores
+/// cannot alias, where a vector's begin pointer would have to be reloaded
+/// after every uint8 write — on the pointer-chasing kernels that reload
+/// sits on the critical path.
 struct DirectMem {
   template <class T>
-  T rd(const std::vector<T>& a, std::size_t i) const {
+  std::remove_const_t<T> rd(std::span<T> a, std::size_t i) const {
     LLMP_DCHECK(i < a.size());
     return a[i];
   }
   template <class T>
-  void wr(std::vector<T>& a, std::size_t i, T v) const {
+  void wr(std::span<T> a, std::size_t i, T v) const {
     LLMP_DCHECK(i < a.size());
     a[i] = v;
+  }
+
+  template <class T>
+  T rd(const std::vector<T>& a, std::size_t i) const {
+    return rd(std::span<const T>(a), i);
+  }
+  template <class T>
+  void wr(std::vector<T>& a, std::size_t i, T v) const {
+    wr(std::span<T>(a), i, v);
   }
 
   /// Vector-like handles (pram::ScratchVec) route through their .vec().

@@ -24,6 +24,7 @@
 
 #include <concepts>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -82,13 +83,13 @@ class Machine {
     explicit Mem(Machine& m) : m_(&m) {}
 
     template <class T>
-    T rd(const std::vector<T>& a, std::size_t i) {
+    std::remove_const_t<T> rd(std::span<T> a, std::size_t i) {
       m_->on_read(a.data(), a.size(), i);
       return a[i];  // lint:allow(unchecked-index) — on_read bounds-checks
     }
 
     template <class T>
-    void wr(std::vector<T>& a, std::size_t i, T v) {
+    void wr(std::span<T> a, std::size_t i, T v) {
       // CRCW Priority: a lower-numbered processor's value must survive, so
       // a later higher-numbered write is suppressed (on_write reports it).
       if (m_->on_write(a.data(), a.size(), i)) {
@@ -104,6 +105,16 @@ class Machine {
           m_->flag(Violation::Kind::kConcurrentWrite, i);
         }
       }
+    }
+
+    /// Vectors track as spans over their storage (same cells, same key).
+    template <class T>
+    T rd(const std::vector<T>& a, std::size_t i) {
+      return rd(std::span<const T>(a), i);
+    }
+    template <class T>
+    void wr(std::vector<T>& a, std::size_t i, T v) {
+      wr(std::span<T>(a), i, v);
     }
 
     /// Vector-like handles (pram::ScratchVec) route through their .vec().

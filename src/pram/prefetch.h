@@ -11,8 +11,8 @@
 // so at list sizes past the last-level cache every element is a ~100ns
 // miss. Issuing the load `distance` iterations early overlaps that miss
 // with useful work; the sweet spot is memory-system dependent, hence the
-// env override (LLMP_PREFETCH_DIST, 0 disables) threaded through
-// pram::tuning().
+// distance is a runtime field of pram::tuning() (0 disables) that benches
+// and tests set directly.
 #pragma once
 
 namespace llmp::pram {

@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -45,14 +46,14 @@ class SymbolicExec {
     explicit Mem(SymbolicExec& e) : e_(&e) {}
 
     template <class T>
-    T rd(const std::vector<T>& a, std::size_t i) {
+    std::remove_const_t<T> rd(std::span<T> a, std::size_t i) {
       LLMP_CHECK_MSG(i < a.size(), "SymbolicExec: read out of bounds");
       e_->record(a.data(), i, /*is_write=*/false, /*has_value=*/false, 0);
       return a[i];  // lint:allow(unchecked-index) — checked above
     }
 
     template <class T>
-    void wr(std::vector<T>& a, std::size_t i, T v) {
+    void wr(std::span<T> a, std::size_t i, T v) {
       LLMP_CHECK_MSG(i < a.size(), "SymbolicExec: write out of bounds");
       bool hashed = false;
       std::uint64_t h = 0;
@@ -62,6 +63,16 @@ class SymbolicExec {
       }
       e_->record(a.data(), i, /*is_write=*/true, hashed, h);
       a[i] = v;  // lint:allow(unchecked-index) — checked above
+    }
+
+    /// Vectors record as spans over their storage (same cells, same key).
+    template <class T>
+    T rd(const std::vector<T>& a, std::size_t i) {
+      return rd(std::span<const T>(a), i);
+    }
+    template <class T>
+    void wr(std::vector<T>& a, std::size_t i, T v) {
+      wr(std::span<T>(a), i, v);
     }
 
     /// Vector-like handles (pram::ScratchVec) route through their .vec().

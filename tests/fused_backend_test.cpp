@@ -1,12 +1,13 @@
 // Differential suite for the thread backend's raw-speed fast paths.
 //
 // The fused sweeps, software prefetch, SIMD label crunching, and the
-// adaptive parallel threshold are pure wall-clock optimizations: they must
+// fixed parallel threshold are pure wall-clock optimizations: they must
 // never move a result bit or a cost-surface counter. This file enforces
 // that by running EVERY registered algorithm
 //
 //   * on pram::Machine — the tracked PRAM referee, which has no sweep and
-//     therefore always executes the legacy per-element step bodies — and
+//     therefore runs every kernel one processor per step call (range
+//     bodies at width 1, the per-element reference bodies elsewhere) — and
 //   * on pram::ParallelExec in each fast-path configuration (fused with
 //     runtime-dispatched SIMD, fused with SIMD forced scalar, fused with
 //     prefetch disabled, and legacy mode with fusion switched off),

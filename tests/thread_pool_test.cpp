@@ -165,7 +165,7 @@ TEST(ParallelExec, ZeroWorkerPoolHoistsDispatchDecision) {
   for (std::size_t v = 0; v < n; ++v) ASSERT_EQ(a[v], v + 1);
 }
 
-TEST(ParallelExec, ExplicitThresholdOverridesCalibration) {
+TEST(ParallelExec, ExplicitThresholdOverridesDefault) {
   // An explicit threshold replaces the default crossover, except on a
   // zero-worker pool, where nothing is ever pooled.
   ThreadPool two(2), none(0);
@@ -173,7 +173,7 @@ TEST(ParallelExec, ExplicitThresholdOverridesCalibration) {
   EXPECT_EQ(ParallelExec(64, none, 123).parallel_threshold(), kNeverParallel);
 }
 
-TEST(ParallelExec, DefaultConstructionCalibratesOncePerPool) {
+TEST(ParallelExec, DefaultThresholdIsOneConstant) {
   // The default crossover is one constant, the same for every pool and in
   // every process; no workers means never pooled.
   ThreadPool pool_a(2), pool_b(2), none(0);
