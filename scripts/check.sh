@@ -27,10 +27,12 @@
 #      including the malformed-frame fuzz decode suite in
 #      net_server_test, which is the suite's home turf,
 #   5. the threading tests (thread_pool_test, machine_test, serve_test,
-#      chaos_test, fused_backend_test, net_server_test) under TSan — the
-#      chaos storm exercises fault injection, worker restarts, retries
-#      and the watchdog, and the net tests the IO-thread/worker
-#      completion handoff, with the race detector watching.
+#      chaos_test, fused_backend_test, net_server_test, histogram_test)
+#      under TSan — the chaos storm exercises fault injection, worker
+#      restarts, retries and the watchdog, the net tests the
+#      IO-thread/worker completion handoff, and the histogram test the
+#      latency buckets every worker records into, with the race detector
+#      watching.
 #
 # Usage: scripts/check.sh [--fast]   (--fast skips the sanitizer builds)
 set -euo pipefail
@@ -111,8 +113,8 @@ cmake -B build-tsan -S . \
   -DLLMP_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" \
   --target thread_pool_test machine_test serve_test chaos_test \
-  fused_backend_test net_server_test
+  fused_backend_test net_server_test histogram_test
 (cd build-tsan && ctest --output-on-failure -j "$JOBS" \
-  -R "ThreadPool|Machine|RangeStep|Serve|BoundedQueue|Chaos|FusedBackend|Net")
+  -R "ThreadPool|Machine|RangeStep|Serve|BoundedQueue|Chaos|FusedBackend|Net|Histogram")
 
 echo "check.sh: all green"

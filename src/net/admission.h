@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "support/counters.h"
 #include "support/status.h"
 
 namespace llmp::net {
@@ -55,6 +56,17 @@ struct TenantStats {
   std::uint64_t completed = 0;
   std::uint64_t in_flight = 0;  ///< admitted − completed, right now
 };
+
+/// Every TenantStats counter, named once (support/counters.h). Table
+/// order is the kStats frame's per-tenant wire order, after the u32
+/// tenant id (net/wire.h). in_flight is a gauge, but it ships the same way.
+inline constexpr support::CounterTable<TenantStats, 5> kTenantCounters{{
+    {"admitted", &TenantStats::admitted},
+    {"rejected_quota", &TenantStats::rejected_quota},
+    {"rejected_in_flight", &TenantStats::rejected_in_flight},
+    {"completed", &TenantStats::completed},
+    {"in_flight", &TenantStats::in_flight},
+}};
 
 class AdmissionController {
  public:

@@ -50,6 +50,7 @@
 #include "net/admission.h"
 #include "net/wire.h"
 #include "serve/service.h"
+#include "support/counters.h"
 #include "support/status.h"
 
 namespace llmp::net {
@@ -96,6 +97,21 @@ struct ServerStats {
   std::uint64_t write_faults = 0;   ///< net.conn.write injections
   std::vector<TenantStats> tenants;
 };
+
+/// Every ServerStats counter, named once (support/counters.h): the
+/// server's atomics and Server::stats() loop over this table.
+inline constexpr support::CounterTable<ServerStats, 10> kServerCounters{{
+    {"accepted", &ServerStats::accepted},
+    {"disconnects", &ServerStats::disconnects},
+    {"protocol_errors", &ServerStats::protocol_errors},
+    {"frames_in", &ServerStats::frames_in},
+    {"frames_out", &ServerStats::frames_out},
+    {"bytes_in", &ServerStats::bytes_in},
+    {"bytes_out", &ServerStats::bytes_out},
+    {"accept_faults", &ServerStats::accept_faults},
+    {"read_faults", &ServerStats::read_faults},
+    {"write_faults", &ServerStats::write_faults},
+}};
 
 class Server {
  public:

@@ -35,11 +35,15 @@
 // StatusCode survives encode/decode (pinned by tests/net_wire_test.cpp).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/match_result.h"
+#include "net/admission.h"
+#include "serve/service.h"
 #include "support/check.h"
 #include "support/status.h"
 #include "support/types.h"
@@ -101,14 +105,42 @@ struct ResponseFrame {
   std::uint64_t cost_work = 0;
 };
 
+/// The summary a kResponse carries for `m` (in_matching stays behind).
+inline ResponseFrame to_response_frame(const core::MatchResult& m) {
+  ResponseFrame f;
+  f.edges = m.edges;
+  f.relabel_rounds = static_cast<std::uint32_t>(m.relabel_rounds);
+  f.gather_rounds = static_cast<std::uint32_t>(m.gather_rounds);
+  f.partition_sets = m.partition_sets;
+  f.cost_depth = m.cost.depth;
+  f.cost_time_p = m.cost.time_p;
+  f.cost_work = m.cost.work;
+  return f;
+}
+
+/// The MatchResult a client rebuilds from a kResponse; in_matching is
+/// empty (the wire ships the summary only).
+inline core::MatchResult from_response_frame(const ResponseFrame& f) {
+  core::MatchResult m;
+  m.edges = f.edges;
+  m.relabel_rounds = static_cast<int>(f.relabel_rounds);
+  m.gather_rounds = static_cast<int>(f.gather_rounds);
+  m.partition_sets = f.partition_sets;
+  m.cost.depth = f.cost_depth;
+  m.cost.time_p = f.cost_time_p;
+  m.cost.work = f.cost_work;
+  return m;
+}
+
 /// Payload of kError.
 struct ErrorFrame {
   StatusCode code = StatusCode::kInternal;
   std::string message;
 };
 
-/// Payload of kStats: the serve-layer counters every transport shares,
-/// then the net layer's own per-tenant admission ledger.
+/// Payload of kStats: the serve-layer counters every transport shares
+/// (listed once, in kStatsFrameRows), then the net layer's own
+/// per-tenant admission ledger.
 struct StatsFrame {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
@@ -122,17 +154,38 @@ struct StatsFrame {
   std::uint64_t repairs = 0;
   std::uint64_t p50_latency_us = 0;
   std::uint64_t p99_latency_us = 0;
-
-  struct Tenant {
-    std::uint32_t tenant = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t rejected_quota = 0;
-    std::uint64_t rejected_in_flight = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t in_flight = 0;
-  };
-  std::vector<Tenant> tenants;
+  std::vector<TenantStats> tenants;
 };
+
+/// One kStats counter: its StatsFrame field and the ServiceStats field
+/// the server fills it from.
+struct StatsFrameRow {
+  std::uint64_t StatsFrame::*frame;
+  std::uint64_t serve::ServiceStats::*service;
+};
+
+/// The kStats counters in wire order: row i is the u64 at payload offset
+/// 8·i, and the u32 tenant count follows the last row. The encoder, the
+/// decoder and the server's copy all loop over this table, so a new row
+/// is a wire-layout change (tests/net_wire_test.cpp pins v1's).
+inline constexpr std::array<StatsFrameRow, 12> kStatsFrameRows{{
+    {&StatsFrame::submitted, &serve::ServiceStats::submitted},
+    {&StatsFrame::completed, &serve::ServiceStats::completed},
+    {&StatsFrame::ok, &serve::ServiceStats::ok},
+    {&StatsFrame::rejected, &serve::ServiceStats::rejected},
+    {&StatsFrame::expired, &serve::ServiceStats::expired},
+    {&StatsFrame::failed, &serve::ServiceStats::failed},
+    {&StatsFrame::retries, &serve::ServiceStats::retries},
+    {&StatsFrame::restarts, &serve::ServiceStats::restarts},
+    {&StatsFrame::audits_failed, &serve::ServiceStats::audits_failed},
+    {&StatsFrame::repairs, &serve::ServiceStats::repairs},
+    {&StatsFrame::p50_latency_us, &serve::ServiceStats::p50_latency_us},
+    {&StatsFrame::p99_latency_us, &serve::ServiceStats::p99_latency_us},
+}};
+
+/// Bytes of one tenant entry: the u32 tenant id, then one u64 per
+/// kTenantCounters row, in table order.
+inline constexpr std::size_t kTenantWireBytes = 4 + 8 * kTenantCounters.size();
 
 // ---------------------------------------------------------------------------
 // Primitive encode/decode. Little-endian, explicit bytes.
@@ -397,26 +450,11 @@ inline void encode_stats(const StatsFrame& f, std::uint32_t tenant,
                          std::vector<std::uint8_t>& out) {
   detail::encode_frame(
       FrameType::kStats, tenant, request_id, out, [&](WireWriter& w) {
-        w.u64(f.submitted);
-        w.u64(f.completed);
-        w.u64(f.ok);
-        w.u64(f.rejected);
-        w.u64(f.expired);
-        w.u64(f.failed);
-        w.u64(f.retries);
-        w.u64(f.restarts);
-        w.u64(f.audits_failed);
-        w.u64(f.repairs);
-        w.u64(f.p50_latency_us);
-        w.u64(f.p99_latency_us);
+        for (const StatsFrameRow& row : kStatsFrameRows) w.u64(f.*row.frame);
         w.u32(static_cast<std::uint32_t>(f.tenants.size()));
-        for (const StatsFrame::Tenant& t : f.tenants) {
+        for (const TenantStats& t : f.tenants) {
           w.u32(t.tenant);
-          w.u64(t.admitted);
-          w.u64(t.rejected_quota);
-          w.u64(t.rejected_in_flight);
-          w.u64(t.completed);
-          w.u64(t.in_flight);
+          for (const auto& c : kTenantCounters) w.u64(t.*c.field);
         }
       });
 }
@@ -505,44 +543,21 @@ inline Status decode_stats_request(const std::uint8_t* /*payload*/,
 inline Status decode_stats(const std::uint8_t* payload, std::size_t size,
                            StatsFrame* out) {
   WireReader r(payload, size);
-  if (Status s = r.u64(&out->submitted, "stats submitted"); !s.ok()) return s;
-  if (Status s = r.u64(&out->completed, "stats completed"); !s.ok()) return s;
-  if (Status s = r.u64(&out->ok, "stats ok"); !s.ok()) return s;
-  if (Status s = r.u64(&out->rejected, "stats rejected"); !s.ok()) return s;
-  if (Status s = r.u64(&out->expired, "stats expired"); !s.ok()) return s;
-  if (Status s = r.u64(&out->failed, "stats failed"); !s.ok()) return s;
-  if (Status s = r.u64(&out->retries, "stats retries"); !s.ok()) return s;
-  if (Status s = r.u64(&out->restarts, "stats restarts"); !s.ok()) return s;
-  if (Status s = r.u64(&out->audits_failed, "stats audits failed"); !s.ok())
-    return s;
-  if (Status s = r.u64(&out->repairs, "stats repairs"); !s.ok()) return s;
-  if (Status s = r.u64(&out->p50_latency_us, "stats p50"); !s.ok()) return s;
-  if (Status s = r.u64(&out->p99_latency_us, "stats p99"); !s.ok()) return s;
+  for (const StatsFrameRow& row : kStatsFrameRows)
+    if (Status s = r.u64(&(out->*row.frame), "stats counter"); !s.ok())
+      return s;
   std::uint32_t tenants = 0;
   if (Status s = r.u32(&tenants, "stats tenant count"); !s.ok()) return s;
-  // 44 bytes per tenant entry; a count the remaining bytes cannot hold is
-  // a protocol error, not a resize request.
-  if (static_cast<std::uint64_t>(tenants) * 44 != r.remaining())
+  // A count the remaining bytes cannot hold is a protocol error, not a
+  // resize request.
+  if (static_cast<std::uint64_t>(tenants) * kTenantWireBytes != r.remaining())
     return Status::invalid_argument("stats tenant count mismatch");
-  out->tenants.clear();
-  out->tenants.reserve(tenants);
-  for (std::uint32_t i = 0; i < tenants; ++i) {
-    StatsFrame::Tenant t;
+  out->tenants.assign(tenants, TenantStats{});
+  for (TenantStats& t : out->tenants) {
     if (Status s = r.u32(&t.tenant, "stats tenant id"); !s.ok()) return s;
-    if (Status s = r.u64(&t.admitted, "stats tenant admitted"); !s.ok())
-      return s;
-    if (Status s = r.u64(&t.rejected_quota, "stats tenant rejected quota");
-        !s.ok())
-      return s;
-    if (Status s =
-            r.u64(&t.rejected_in_flight, "stats tenant rejected in-flight");
-        !s.ok())
-      return s;
-    if (Status s = r.u64(&t.completed, "stats tenant completed"); !s.ok())
-      return s;
-    if (Status s = r.u64(&t.in_flight, "stats tenant in-flight"); !s.ok())
-      return s;
-    out->tenants.push_back(t);
+    for (const auto& c : kTenantCounters)
+      if (Status s = r.u64(&(t.*c.field), "stats tenant counter"); !s.ok())
+        return s;
   }
   return r.expect_end("stats frame");
 }

@@ -84,6 +84,8 @@
 #include "serve/retry_ledger.h"
 #include "serve/sync_policy.h"
 #include "serve/worker_slot.h"
+#include "support/counters.h"
+#include "support/histogram.h"
 #include "support/status.h"
 
 namespace llmp::serve {
@@ -225,8 +227,11 @@ struct Request {
   std::function<void()> on_ready;
 };
 
-/// One consistent snapshot of service counters (values are monotonically
-/// increasing between reset_stats() calls; queue_depth is instantaneous).
+/// A snapshot of the service counters. Each counter is monotonic between
+/// reset_stats() calls, but the snapshot promises no cross-counter
+/// consistency (support::CounterCells); queue_depth and workers are
+/// instantaneous. The monotonic counters are listed once, in
+/// kServiceCounters below.
 struct ServiceStats {
   std::uint64_t submitted = 0;  ///< accepted into the queue
   std::uint64_t completed = 0;  ///< futures fulfilled
@@ -251,7 +256,7 @@ struct ServiceStats {
   std::size_t queue_depth = 0;
   std::size_t workers = 0;          ///< live (non-retired) workers
   /// End-to-end latency (submit → future ready) percentiles, from a
-  /// log2-bucketed histogram: each reported value is the upper bound of
+  /// support::Log2Histogram: each reported value is the upper bound of
   /// the bucket holding that percentile, so it is exact to within 2×.
   std::uint64_t p50_latency_us = 0;
   std::uint64_t p99_latency_us = 0;
@@ -263,6 +268,29 @@ struct ServiceStats {
   std::uint64_t arena_takes = 0;  ///< scratch leases across all workers
   std::uint64_t arena_hits = 0;   ///< … satisfied from the pool
 };
+
+/// Every monotonic ServiceStats counter, named once (support/counters.h).
+/// The Service's atomics, stats(), reset_stats() and the llmp_serve CSV
+/// and metric table all loop over this table; the derived figures
+/// (latency percentiles, steady_allocs) and the gauges are not in it.
+inline constexpr support::CounterTable<ServiceStats, 16> kServiceCounters{{
+    {"submitted", &ServiceStats::submitted},
+    {"completed", &ServiceStats::completed},
+    {"ok", &ServiceStats::ok},
+    {"rejected", &ServiceStats::rejected},
+    {"cancelled", &ServiceStats::cancelled},
+    {"expired", &ServiceStats::expired},
+    {"failed", &ServiceStats::failed},
+    {"restarts", &ServiceStats::restarts},
+    {"retries", &ServiceStats::retries},
+    {"quarantined", &ServiceStats::quarantined},
+    {"degraded", &ServiceStats::degraded},
+    {"watchdog_fires", &ServiceStats::watchdog_fires},
+    {"audits_failed", &ServiceStats::audits_failed},
+    {"repairs", &ServiceStats::repairs},
+    {"arena_takes", &ServiceStats::arena_takes},
+    {"arena_hits", &ServiceStats::arena_hits},
+}};
 
 class Service {
  public:
@@ -340,7 +368,6 @@ class Service {
   /// it if it was cancelled / its deadline passed / the queue closed).
   void dispatch_retry(Job&& job);
   void finish(Job& job, Result<core::MatchResult> result);
-  void record_latency(std::chrono::steady_clock::time_point enqueued);
 
   void supervisor_loop();
   void watchdog_scan();
@@ -370,32 +397,14 @@ class Service {
   std::array<Sync::atomic<std::uint32_t>, kAlgos> consec_failures_{};
   std::array<Sync::atomic<std::uint32_t>, kAlgos> probe_seq_{};
 
-  // Stats. Plain atomics, every access relaxed: each counter is an
-  // independent monotonic tally and stats() is a monitoring snapshot that
-  // promises no cross-counter consistency — no reader orders other memory
-  // against these, so there is no invariant a stronger order would
-  // protect (memory-order audit, docs/MODELCHECK.md).
-  Sync::atomic<std::uint64_t> submitted_{0};
-  Sync::atomic<std::uint64_t> completed_{0};
-  Sync::atomic<std::uint64_t> ok_{0};
-  Sync::atomic<std::uint64_t> rejected_{0};
-  Sync::atomic<std::uint64_t> cancelled_{0};
-  Sync::atomic<std::uint64_t> expired_{0};
-  Sync::atomic<std::uint64_t> failed_{0};
-  Sync::atomic<std::uint64_t> restarts_{0};
-  Sync::atomic<std::uint64_t> retries_{0};
-  Sync::atomic<std::uint64_t> quarantined_{0};
-  Sync::atomic<std::uint64_t> degraded_{0};
-  Sync::atomic<std::uint64_t> watchdog_fires_{0};
-  Sync::atomic<std::uint64_t> audits_failed_{0};
-  Sync::atomic<std::uint64_t> repairs_{0};
-  Sync::atomic<std::uint64_t> arena_takes_{0};
-  Sync::atomic<std::uint64_t> arena_hits_{0};
+  // Stats. Every access relaxed: each counter is an independent monotonic
+  // tally and stats() is a monitoring snapshot that promises no
+  // cross-counter consistency — no reader orders other memory against
+  // these, so there is no invariant a stronger order would protect
+  // (memory-order audit, docs/MODELCHECK.md).
+  support::CounterCells<kServiceCounters> counters_;
+  support::Log2Histogram latency_;  ///< submit → future ready, in µs
   Sync::atomic<std::uint64_t> alloc_baseline_{0};
-  /// Latency histogram: bucket i counts requests with latency in
-  /// (2^(i-1), 2^i] microseconds (bucket 0: <= 1 µs).
-  static constexpr std::size_t kLatencyBuckets = 48;
-  std::array<Sync::atomic<std::uint64_t>, kLatencyBuckets> latency_{};
 };
 
 }  // namespace llmp::serve

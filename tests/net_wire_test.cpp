@@ -146,6 +146,34 @@ TEST(NetWire, ResponseRoundTrip) {
 // The satellite guarantee: the single status table in support/status.h is
 // the wire mapping, so EVERY code round-trips — including ones added
 // later (kAllStatusCodes is generated from the same table).
+TEST(NetWire, ResponseFrameCarriesTheMatchResultSummary) {
+  core::MatchResult m;
+  m.edges = 11;
+  m.relabel_rounds = 2;
+  m.gather_rounds = 3;
+  m.partition_sets = 5;
+  m.cost.depth = 7;
+  m.cost.time_p = 13;
+  m.cost.work = 17;
+  m.in_matching.assign(4, 1);  // stays behind: the wire ships the summary
+  std::vector<std::uint8_t> bytes;
+  encode_response(to_response_frame(m), 0, 1, bytes);
+  const FrameHeader h = decode_header_ok(bytes);
+  ResponseFrame d;
+  ASSERT_TRUE(
+      decode_response(bytes.data() + kFrameHeaderBytes, h.payload_bytes, &d)
+          .ok());
+  const core::MatchResult back = from_response_frame(d);
+  EXPECT_EQ(back.edges, m.edges);
+  EXPECT_EQ(back.relabel_rounds, m.relabel_rounds);
+  EXPECT_EQ(back.gather_rounds, m.gather_rounds);
+  EXPECT_EQ(back.partition_sets, m.partition_sets);
+  EXPECT_EQ(back.cost.depth, m.cost.depth);
+  EXPECT_EQ(back.cost.time_p, m.cost.time_p);
+  EXPECT_EQ(back.cost.work, m.cost.work);
+  EXPECT_TRUE(back.in_matching.empty());
+}
+
 TEST(NetWire, EveryStatusCodeRoundTripsThroughErrorFrames) {
   for (const StatusCode code : kAllStatusCodes) {
     StatusCode back = StatusCode::kInternal;
@@ -197,21 +225,19 @@ TEST(NetWire, ErrorFrameCarryingOkIsRejected) {
 }
 
 TEST(NetWire, StatsRoundTripWithTenants) {
+  // Every wire-table row gets its own value, so a row added to
+  // kStatsFrameRows or kTenantCounters is covered here without a new
+  // assertion.
   StatsFrame f;
-  f.submitted = 100;
-  f.completed = 90;
-  f.ok = 80;
-  f.rejected = 5;
-  f.expired = 3;
-  f.failed = 2;
-  f.retries = 7;
-  f.restarts = 1;
-  f.audits_failed = 6;
-  f.repairs = 4;
-  f.p50_latency_us = 128;
-  f.p99_latency_us = 4096;
-  f.tenants.push_back({1, 50, 2, 1, 47, 3});
-  f.tenants.push_back({2, 40, 9, 0, 40, 0});
+  for (std::size_t i = 0; i < kStatsFrameRows.size(); ++i)
+    f.*kStatsFrameRows[i].frame = 1000 + i;
+  for (std::uint32_t t = 1; t <= 2; ++t) {
+    TenantStats ts;
+    ts.tenant = t;
+    for (std::size_t i = 0; i < kTenantCounters.size(); ++i)
+      ts.*kTenantCounters[i].field = 100 * t + i;
+    f.tenants.push_back(ts);
+  }
   std::vector<std::uint8_t> bytes;
   encode_stats(f, 0, 5, bytes);
 
@@ -221,18 +247,52 @@ TEST(NetWire, StatsRoundTripWithTenants) {
   ASSERT_TRUE(
       decode_stats(bytes.data() + kFrameHeaderBytes, h.payload_bytes, &d)
           .ok());
-  EXPECT_EQ(d.submitted, f.submitted);
-  EXPECT_EQ(d.ok, f.ok);
-  EXPECT_EQ(d.audits_failed, 6u);
-  EXPECT_EQ(d.repairs, 4u);
-  EXPECT_EQ(d.p99_latency_us, f.p99_latency_us);
-  ASSERT_EQ(d.tenants.size(), 2u);
-  EXPECT_EQ(d.tenants[0].tenant, 1u);
-  EXPECT_EQ(d.tenants[0].admitted, 50u);
-  EXPECT_EQ(d.tenants[0].rejected_quota, 2u);
-  EXPECT_EQ(d.tenants[0].rejected_in_flight, 1u);
-  EXPECT_EQ(d.tenants[1].tenant, 2u);
-  EXPECT_EQ(d.tenants[1].rejected_quota, 9u);
+  for (const StatsFrameRow& row : kStatsFrameRows)
+    EXPECT_EQ(d.*row.frame, f.*row.frame);
+  ASSERT_EQ(d.tenants.size(), f.tenants.size());
+  for (std::size_t t = 0; t < f.tenants.size(); ++t) {
+    EXPECT_EQ(d.tenants[t].tenant, f.tenants[t].tenant);
+    for (const auto& c : kTenantCounters)
+      EXPECT_EQ(d.tenants[t].*c.field, f.tenants[t].*c.field) << c.name;
+  }
+}
+
+TEST(NetWire, StatsPayloadLayoutIsV1) {
+  // The v1 byte layout, field by field: the codec loops over the tables,
+  // so this pin is what catches a reordered or inserted row.
+  StatsFrame f;
+  f.submitted = 1;
+  f.completed = 2;
+  f.ok = 3;
+  f.rejected = 4;
+  f.expired = 5;
+  f.failed = 6;
+  f.retries = 7;
+  f.restarts = 8;
+  f.audits_failed = 9;
+  f.repairs = 10;
+  f.p50_latency_us = 11;
+  f.p99_latency_us = 12;
+  f.tenants.push_back({21, 22, 23, 24, 25, 26});
+  std::vector<std::uint8_t> bytes;
+  encode_stats(f, 0, 5, bytes);
+  const std::uint8_t* p = bytes.data() + kFrameHeaderBytes;
+  ASSERT_EQ(bytes.size(), kFrameHeaderBytes + 96 + 4 + 44);
+  auto u64_at = [&](std::size_t off) {
+    std::uint64_t v = 0;
+    for (int i = 7; i >= 0; --i) v = v << 8 | p[off + i];
+    return v;
+  };
+  auto u32_at = [&](std::size_t off) {
+    std::uint32_t v = 0;
+    for (int i = 3; i >= 0; --i) v = v << 8 | p[off + i];
+    return v;
+  };
+  for (std::uint64_t k = 0; k < 12; ++k) EXPECT_EQ(u64_at(8 * k), k + 1);
+  EXPECT_EQ(u32_at(96), 1u);   // tenant count
+  EXPECT_EQ(u32_at(100), 21u);  // tenant id
+  for (std::uint64_t k = 0; k < 5; ++k)
+    EXPECT_EQ(u64_at(104 + 8 * k), 22 + k);
 }
 
 TEST(NetWire, StatsRequestMustBeEmpty) {

@@ -390,6 +390,41 @@ TEST(Serve, StatsCountLatencyAndQueueDepth) {
   EXPECT_GT(st.arena_takes, 0u);
 }
 
+TEST(Serve, ResetStatsZeroesEveryTableCounter) {
+  // Walks kServiceCounters, so a counter added to the table but left out
+  // of reset_stats() fails here without a new assertion.
+  const auto lst = make_list(1000);
+  Service svc({.workers = 2});
+  std::vector<std::future<Result<MatchResult>>> futs;
+  for (int k = 0; k < 8; ++k) futs.push_back(svc.submit({.list = &lst}));
+  Request unknown{.list = &lst};
+  unknown.algorithm = "no-such-algorithm";
+  futs.push_back(svc.submit(std::move(unknown)));
+  Request cancelled{.list = &lst};
+  cancelled.cancel = serve::make_cancel_token();
+  cancelled.cancel->store(true);
+  futs.push_back(svc.submit(std::move(cancelled)));
+  Request expired{.list = &lst};
+  expired.deadline = std::chrono::steady_clock::now();
+  futs.push_back(svc.submit(std::move(expired)));
+  for (auto& f : futs) f.get();
+
+  const ServiceStats before = svc.stats();
+  EXPECT_EQ(before.ok, 8u);
+  EXPECT_EQ(before.rejected, 1u);
+  EXPECT_EQ(before.cancelled, 1u);
+  EXPECT_EQ(before.expired, 1u);
+  EXPECT_GT(before.arena_takes, 0u);
+  EXPECT_GT(before.p50_latency_us, 0u);
+
+  svc.reset_stats();
+  const ServiceStats after = svc.stats();
+  for (const auto& c : serve::kServiceCounters)
+    EXPECT_EQ(after.*c.field, 0u) << c.name;
+  EXPECT_EQ(after.p50_latency_us, 0u);
+  EXPECT_EQ(after.p99_latency_us, 0u);
+}
+
 TEST(Serve, SteadyStateAllocationsAreZeroAfterWarmup) {
   // Same-size lists cycling through warm workers: after warmup and a
   // stats reset, the in-scope allocation counter must not move. Covers

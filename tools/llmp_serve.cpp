@@ -32,7 +32,9 @@
 #include <iostream>
 #include <new>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "llmp.h"
@@ -249,21 +251,24 @@ int run_in_process(const net::ServeCliOptions& opt) {
   const double rps =
       secs > 0 ? static_cast<double>(opt.requests) / secs : 0;
 
+  // One column per ServiceStats counter, labelled with its kServiceCounters
+  // name, then the derived figures.
+  std::vector<std::pair<std::string_view, std::uint64_t>> metrics;
+  for (const auto& c : serve::kServiceCounters)
+    metrics.emplace_back(c.name, st.*c.field);
+  metrics.emplace_back("p50_latency_us", st.p50_latency_us);
+  metrics.emplace_back("p99_latency_us", st.p99_latency_us);
+  metrics.emplace_back("steady_allocs", st.steady_allocs);
+
   if (opt.csv) {
-    std::cout << "alg,n,workers,queue,requests,ok,rejected,expired,failed,"
-                 "retries,restarts,quarantined,degraded,watchdog_fires,"
-                 "audits_failed,repairs,seconds,rps,p50_us,p99_us,"
-                 "steady_allocs,arena_takes,arena_hits\n"
+    std::cout << "alg,n,workers,queue,requests,seconds,rps";
+    for (const auto& [name, v] : metrics) std::cout << ',' << name;
+    std::cout << '\n'
               << opt.alg << ',' << opt.n << ',' << opt.service.workers << ','
               << opt.service.queue_capacity << ',' << opt.requests << ','
-              << got_ok << ',' << st.rejected << ',' << st.expired << ','
-              << st.failed << ',' << st.retries << ',' << st.restarts << ','
-              << st.quarantined << ',' << st.degraded << ','
-              << st.watchdog_fires << ',' << st.audits_failed << ','
-              << st.repairs << ',' << secs << ',' << rps << ','
-              << st.p50_latency_us << ',' << st.p99_latency_us << ','
-              << st.steady_allocs << ',' << st.arena_takes << ','
-              << st.arena_hits << "\n";
+              << secs << ',' << rps;
+    for (const auto& [name, v] : metrics) std::cout << ',' << v;
+    std::cout << '\n';
     return 0;
   }
 
@@ -277,24 +282,8 @@ int run_in_process(const net::ServeCliOptions& opt) {
   fmt::Table t({"metric", "value"});
   t.add_row({"throughput (req/s)", fmt::num(static_cast<std::uint64_t>(rps))});
   t.add_row({"wall seconds", std::to_string(secs)});
-  t.add_row({"ok", fmt::num(got_ok)});
-  t.add_row({"completed", fmt::num(st.completed)});
-  t.add_row({"rejected", fmt::num(st.rejected)});
-  t.add_row({"expired", fmt::num(st.expired)});
-  t.add_row({"cancelled", fmt::num(st.cancelled)});
-  t.add_row({"failed", fmt::num(st.failed)});
-  t.add_row({"retries", fmt::num(st.retries)});
-  t.add_row({"worker restarts", fmt::num(st.restarts)});
-  t.add_row({"quarantined", fmt::num(st.quarantined)});
-  t.add_row({"degraded runs", fmt::num(st.degraded)});
-  t.add_row({"watchdog fires", fmt::num(st.watchdog_fires)});
-  t.add_row({"audits failed", fmt::num(st.audits_failed)});
-  t.add_row({"repairs", fmt::num(st.repairs)});
-  t.add_row({"p50 latency (us)", fmt::num(st.p50_latency_us)});
-  t.add_row({"p99 latency (us)", fmt::num(st.p99_latency_us)});
-  t.add_row({"steady-state allocs", fmt::num(st.steady_allocs)});
-  t.add_row({"arena leases", fmt::num(st.arena_takes)});
-  t.add_row({"arena pool hits", fmt::num(st.arena_hits)});
+  for (const auto& [name, v] : metrics)
+    t.add_row({std::string(name), fmt::num(v)});
   t.print();
   if (st.steady_allocs != 0)
     std::cout << "\nWARNING: steady-state allocations nonzero — arena pool "
